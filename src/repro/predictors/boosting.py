@@ -15,17 +15,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.predictors.base import Regressor, validate_xy
-from repro.predictors.tree import DecisionTreeRegressor
+from repro.predictors.base import validate_xy
+from repro.predictors.tree import (DecisionTreeRegressor, TreeModel,
+                                   concat_trees, staged_sums, sum_trees)
 from repro.utils.rng import derive_seed
 
 __all__ = ["GradientBoostingRegressor"]
 
 
-class GradientBoostingRegressor(Regressor):
+class GradientBoostingRegressor(TreeModel):
     """Squared-loss gradient boosting with shrinkage and subsampling."""
 
     name = "xgboost"
+    _params = ("n_estimators", "max_depth", "learning_rate", "subsample",
+               "min_samples_leaf", "seed", "colsample")
 
     def __init__(self, n_estimators: int = 500, max_depth: int = 5,
                  learning_rate: float = 0.05, subsample: float = 0.8,
@@ -47,8 +50,6 @@ class GradientBoostingRegressor(Regressor):
         # "sqrt" keeps wide embedding blocks tractable.
         self.colsample = colsample
         self.base_prediction_: float = 0.0
-        self.trees_: list[DecisionTreeRegressor] = []
-        self._n_features = 0
 
     def fit(self, x, y) -> "GradientBoostingRegressor":
         x, y = validate_xy(x, y)
@@ -56,7 +57,7 @@ class GradientBoostingRegressor(Regressor):
         n = x.shape[0]
         self.base_prediction_ = float(y.mean())
         current = np.full(n, self.base_prediction_)
-        self.trees_ = []
+        trees = []
 
         for i in range(self.n_estimators):
             residuals = y - current
@@ -75,57 +76,28 @@ class GradientBoostingRegressor(Regressor):
             )
             tree.fit(x[idx], residuals[idx])
             current += self.learning_rate * tree.predict(x)
-            self.trees_.append(tree)
+            trees.append(tree)
+        self.nodes_ = concat_trees(trees)
         return self
 
     def predict(self, x) -> np.ndarray:
-        if not self.trees_:
-            raise RuntimeError("predict() called before fit()")
+        nodes = self._fitted("predict()")
         x = self._check_predict_input(x, self._n_features)
-        out = np.full(x.shape[0], self.base_prediction_)
-        for tree in self.trees_:
-            out += self.learning_rate * tree.predict(x)
-        return out
+        return sum_trees(nodes, x, self.max_depth, self.base_prediction_,
+                         self.learning_rate)
 
-    # ------------------------------------------------------------------ #
     def get_state(self) -> dict:
-        if not self.trees_:
-            raise RuntimeError("get_state() called before fit()")
-        return {
-            "n_estimators": self.n_estimators,
-            "max_depth": self.max_depth,
-            "learning_rate": self.learning_rate,
-            "subsample": self.subsample,
-            "min_samples_leaf": self.min_samples_leaf,
-            "seed": self.seed,
-            "colsample": self.colsample,
-            "base_prediction": self.base_prediction_,
-            "n_features": self._n_features,
-            "trees": [tree.get_state() for tree in self.trees_],
-        }
+        return {**super().get_state(), "base_prediction": self.base_prediction_}
 
     def set_state(self, state: dict) -> "GradientBoostingRegressor":
-        self.n_estimators = int(state["n_estimators"])
-        self.max_depth = int(state["max_depth"])
-        self.learning_rate = float(state["learning_rate"])
-        self.subsample = float(state["subsample"])
-        self.min_samples_leaf = int(state["min_samples_leaf"])
-        self.seed = int(state["seed"])
-        colsample = state["colsample"]
-        self.colsample = int(colsample) \
-            if isinstance(colsample, (int, np.integer)) else colsample
+        super().set_state(state)
         self.base_prediction_ = float(state["base_prediction"])
-        self._n_features = int(state["n_features"])
-        self.trees_ = [DecisionTreeRegressor().set_state(ts)
-                       for ts in state["trees"]]
         return self
 
     def staged_train_error(self, x, y) -> np.ndarray:
         """MSE on (x, y) after each boosting round (diagnostics/tests)."""
+        nodes = self._fitted("staged_train_error()")
         x, y = validate_xy(x, y)
-        out = np.empty(len(self.trees_))
-        current = np.full(x.shape[0], self.base_prediction_)
-        for i, tree in enumerate(self.trees_):
-            current += self.learning_rate * tree.predict(x)
-            out[i] = float(((y - current) ** 2).mean())
-        return out
+        staged = staged_sums(nodes, x, self.max_depth,
+                             self.base_prediction_, self.learning_rate)
+        return ((y - staged[1:]) ** 2).mean(axis=1)

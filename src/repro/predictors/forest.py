@@ -4,17 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.predictors.base import Regressor, validate_xy
-from repro.predictors.tree import DecisionTreeRegressor
+from repro.predictors.base import validate_xy
+from repro.predictors.tree import (DecisionTreeRegressor, TreeModel,
+                                   concat_trees, sum_trees)
 from repro.utils.rng import derive_seed
 
 __all__ = ["RandomForestRegressor"]
 
 
-class RandomForestRegressor(Regressor):
+class RandomForestRegressor(TreeModel):
     """Bootstrap-aggregated CART trees with feature subsampling."""
 
     name = "random_forest"
+    _params = ("n_estimators", "max_depth", "min_samples_leaf",
+               "max_features", "seed")
 
     def __init__(self, n_estimators: int = 100, max_depth: int = 5,
                  min_samples_leaf: int = 1, max_features: int | str = "sqrt",
@@ -26,14 +29,12 @@ class RandomForestRegressor(Regressor):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.seed = seed
-        self.trees_: list[DecisionTreeRegressor] = []
-        self._n_features = 0
 
     def fit(self, x, y) -> "RandomForestRegressor":
         x, y = validate_xy(x, y)
         self._n_features = x.shape[1]
         n = x.shape[0]
-        self.trees_ = []
+        trees = []
         for i in range(self.n_estimators):
             rng = np.random.default_rng(derive_seed(self.seed, "tree", str(i)))
             idx = rng.integers(0, n, size=n)  # bootstrap sample
@@ -43,42 +44,12 @@ class RandomForestRegressor(Regressor):
                 max_features=self.max_features,
                 rng=rng,
             )
-            tree.fit(x[idx], y[idx])
-            self.trees_.append(tree)
+            trees.append(tree.fit(x[idx], y[idx]))
+        self.nodes_ = concat_trees(trees)
         return self
 
     def predict(self, x) -> np.ndarray:
-        if not self.trees_:
-            raise RuntimeError("predict() called before fit()")
+        nodes = self._fitted("predict()")
         x = self._check_predict_input(x, self._n_features)
-        preds = np.zeros(x.shape[0])
-        for tree in self.trees_:
-            preds += tree.predict(x)
-        return preds / len(self.trees_)
-
-    # ------------------------------------------------------------------ #
-    def get_state(self) -> dict:
-        if not self.trees_:
-            raise RuntimeError("get_state() called before fit()")
-        return {
-            "n_estimators": self.n_estimators,
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_features": self.max_features,
-            "seed": self.seed,
-            "n_features": self._n_features,
-            "trees": [tree.get_state() for tree in self.trees_],
-        }
-
-    def set_state(self, state: dict) -> "RandomForestRegressor":
-        self.n_estimators = int(state["n_estimators"])
-        self.max_depth = int(state["max_depth"])
-        self.min_samples_leaf = int(state["min_samples_leaf"])
-        max_features = state["max_features"]
-        self.max_features = int(max_features) \
-            if isinstance(max_features, (int, np.integer)) else max_features
-        self.seed = int(state["seed"])
-        self._n_features = int(state["n_features"])
-        self.trees_ = [DecisionTreeRegressor().set_state(ts)
-                       for ts in state["trees"]]
-        return self
+        return (sum_trees(nodes, x, self.max_depth, 0.0, 1.0)
+                / len(nodes["tree_offset"]))

@@ -1,5 +1,14 @@
 """CART regression trees — the building block of RF and gradient boosting.
 
+A fitted tree *is* five parallel preorder arrays — ``feature``,
+``threshold``, ``value``, ``left``, ``right`` — and those arrays are also
+its serialised state.  A leaf is a self-loop (``left[i] == right[i] ==
+i``) with a valid ``feature``, so prediction is a fixed number of
+mask-free, level-synchronous steps: every (tree, row) cursor advances
+``max_depth`` times, and a cursor that reaches a leaf early stays put.
+Ensembles concatenate their trees into one set of arrays plus
+``tree_offset`` (each tree's root), whatever their tree count.
+
 Split search is vectorised per feature: sort once, then evaluate every
 candidate threshold with prefix sums of y and y², choosing the split that
 minimises the weighted sum of child variances (equivalently, maximises
@@ -8,28 +17,109 @@ variance reduction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.predictors.base import Regressor, validate_xy
 
-__all__ = ["DecisionTreeRegressor"]
+__all__ = ["DecisionTreeRegressor", "TreeModel", "leaf_values", "staged_sums",
+           "sum_trees", "concat_trees"]
+
+#: the node arrays of a fitted tree, in state order, with their dtypes
+NODE_DTYPES = {"feature": np.int64, "threshold": np.float64,
+               "value": np.float64, "left": np.int64, "right": np.int64}
+
+#: an ensemble's state arrays: every tree's nodes, then each tree's root
+_ENSEMBLE_KEYS = (*NODE_DTYPES, "tree_offset")
+
+#: (tree, row) cursors per traversal block: bounds predict's working set
+_BLOCK_CELLS = 1 << 16
+
+_ROOT = np.zeros(1, dtype=np.int64)
 
 
-@dataclass
-class _Node:
-    """Either a leaf (value set) or an internal node (feature/threshold)."""
+def leaf_values(nodes: dict, roots: np.ndarray, x: np.ndarray,
+                steps: int) -> np.ndarray:
+    """Value of the leaf each row of ``x`` reaches in each tree.
 
-    value: float = 0.0
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
+    Returns shape ``(len(roots), len(x))``.  ``x[row, feature] <=
+    threshold`` goes left; ``steps`` must be at least the deepest tree's
+    depth.
+    """
+    feature, threshold = nodes["feature"], nodes["threshold"]
+    # child[2 * i + goes_left]: one gather per step instead of two + where
+    child = np.stack([nodes["right"], nodes["left"]], axis=1).ravel()
+    flat = np.ascontiguousarray(x).ravel()
+    row_start = np.arange(x.shape[0]) * x.shape[1]
+    # step one: all of a tree's cursors sit at its root, so compare columns
+    node = child[2 * roots[:, None]
+                 + (x[:, feature[roots]].T <= threshold[roots][:, None])]
+    for _ in range(steps - 1):
+        at = feature[node]
+        at += row_start
+        goes_left = flat[at] <= threshold[node]
+        node *= 2
+        node += goes_left
+        node = child[node]
+    return nodes["value"][node]
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+
+def staged_sums(nodes: dict, x: np.ndarray, steps: int, base: float,
+                scale: float) -> np.ndarray:
+    """Ensemble sums after 0, 1, …, n_trees trees: ``(n_trees + 1, len(x))``.
+
+    Row 0 is ``base``; ``scale * leaf`` is added one tree at a time in
+    tree order (``np.add.accumulate``), exactly as a Python loop of
+    ``out += scale * tree.predict(x)`` adds — a pairwise ``np.sum``
+    would not match it bit for bit.
+    """
+    leaves = leaf_values(nodes, nodes["tree_offset"], x, steps)
+    terms = np.empty((leaves.shape[0] + 1, x.shape[0]))
+    terms[0] = base
+    np.multiply(leaves, scale, out=terms[1:])
+    return np.add.accumulate(terms, axis=0, out=terms)
+
+
+def sum_trees(nodes: dict, x: np.ndarray, steps: int, base: float,
+              scale: float) -> np.ndarray:
+    """The last row of :func:`staged_sums`, computed in bounded row blocks."""
+    out = np.empty(x.shape[0])
+    block = max(1, _BLOCK_CELLS // len(nodes["tree_offset"]))
+    for start in range(0, x.shape[0], block):
+        rows = slice(start, start + block)
+        out[rows] = staged_sums(nodes, x[rows], steps, base, scale)[-1]
+    return out
+
+
+def concat_trees(trees: list["DecisionTreeRegressor"]) -> dict:
+    """One set of node arrays for ``trees``, plus each tree's root offset."""
+    sizes = [len(tree.nodes_["value"]) for tree in trees]
+    offset = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+    nodes = {key: np.concatenate([tree.nodes_[key] for tree in trees])
+             for key in NODE_DTYPES}
+    shift = np.repeat(offset, sizes)
+    nodes["left"] += shift
+    nodes["right"] += shift
+    nodes["tree_offset"] = offset
+    return nodes
+
+
+def _adopt_nodes(nodes: dict, keys, n_features: int) -> dict:
+    """Stored node arrays as the live tree: no copy when dtypes match.
+
+    Raises ``ValueError`` on arrays that cannot describe a tree over
+    ``n_features`` inputs (ragged lengths, indices out of range), so a
+    malformed artifact degrades to a refit instead of a wrong predict.
+    """
+    out = {key: np.asarray(nodes[key], dtype=NODE_DTYPES.get(key, np.int64))
+           for key in keys}
+    n = len(out["value"])
+    bounds = {"feature": n_features, "left": n, "right": n, "tree_offset": n}
+    if (any(out[key].shape != (n,) for key in NODE_DTYPES)
+            or any(out[key].size == 0 or (out[key] < 0).any()
+                   or (out[key] >= bounds[key]).any()
+                   for key in keys if key in bounds)):
+        raise ValueError("malformed tree node arrays")
+    return out
 
 
 def _best_split_for_feature(values: np.ndarray, y: np.ndarray,
@@ -73,10 +163,44 @@ def _best_split_for_feature(values: np.ndarray, y: np.ndarray,
     return float(gains[best]), threshold
 
 
-class DecisionTreeRegressor(Regressor):
+class TreeModel(Regressor):
+    """A regressor whose fitted state is its node arrays (``nodes_``).
+
+    The state is the constructor arguments named in ``_params``, the
+    input width and the live node arrays; ``set_state`` re-runs the
+    constructor, so stored hyperparameters pass the same validation.
+    """
+
+    _params: tuple[str, ...] = ()
+    _node_keys: tuple[str, ...] = _ENSEMBLE_KEYS
+    nodes_: dict | None = None
+    _n_features = 0
+
+    def _fitted(self, what: str) -> dict:
+        if self.nodes_ is None:
+            raise RuntimeError(f"{what} called before fit()")
+        return self.nodes_
+
+    def get_state(self) -> dict:
+        nodes = self._fitted("get_state()")
+        return {**{name: getattr(self, name) for name in self._params},
+                "n_features": self._n_features, "nodes": dict(nodes)}
+
+    def set_state(self, state: dict) -> "TreeModel":
+        self.__init__(**{name: state[name] for name in self._params})
+        self._n_features = int(state["n_features"])
+        self.nodes_ = _adopt_nodes(state["nodes"], self._node_keys,
+                                  self._n_features)
+        return self
+
+
+class DecisionTreeRegressor(TreeModel):
     """CART regressor with depth / leaf-size / feature-subsample controls."""
 
     name = "tree"
+    _params = ("max_depth", "min_samples_split", "min_samples_leaf",
+               "max_features")
+    _node_keys = tuple(NODE_DTYPES)
 
     def __init__(self, max_depth: int = 5, min_samples_split: int = 2,
                  min_samples_leaf: int = 1,
@@ -93,8 +217,6 @@ class DecisionTreeRegressor(Regressor):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self._rng = rng or np.random.default_rng(0)
-        self._root: _Node | None = None
-        self._n_features = 0
 
     # ------------------------------------------------------------------ #
     def _features_to_consider(self, d: int) -> np.ndarray:
@@ -108,11 +230,15 @@ class DecisionTreeRegressor(Regressor):
             raise ValueError(f"bad max_features: {self.max_features!r}")
         return self._rng.choice(d, size=k, replace=False)
 
-    def _build(self, x: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        node = _Node(value=float(y.mean()))
+    def _build(self, x: np.ndarray, y: np.ndarray, depth: int,
+               nodes: dict[str, list]) -> int:
+        """Append the subtree fitted to ``(x, y)`` in preorder; return its index."""
+        i = len(nodes["value"])
+        for key, init in zip(NODE_DTYPES, (0, 0.0, float(y.mean()), i, i)):
+            nodes[key].append(init)
         if (depth >= self.max_depth or len(y) < self.min_samples_split
                 or np.all(y == y[0])):
-            return node
+            return i
 
         best_gain, best_feature, best_threshold = 0.0, -1, 0.0
         for feature in self._features_to_consider(x.shape[1]):
@@ -122,118 +248,39 @@ class DecisionTreeRegressor(Regressor):
                 best_gain, best_feature, best_threshold = gain, int(feature), threshold
 
         if best_feature < 0:
-            return node
+            return i
 
         mask = x[:, best_feature] <= best_threshold
-        node.feature = best_feature
-        node.threshold = best_threshold
-        node.left = self._build(x[mask], y[mask], depth + 1)
-        node.right = self._build(x[~mask], y[~mask], depth + 1)
-        return node
+        nodes["feature"][i] = best_feature
+        nodes["threshold"][i] = best_threshold
+        nodes["left"][i] = self._build(x[mask], y[mask], depth + 1, nodes)
+        nodes["right"][i] = self._build(x[~mask], y[~mask], depth + 1, nodes)
+        return i
 
     def fit(self, x, y) -> "DecisionTreeRegressor":
         x, y = validate_xy(x, y)
         self._n_features = x.shape[1]
-        self._root = self._build(x, y, depth=0)
+        nodes: dict[str, list] = {key: [] for key in NODE_DTYPES}
+        self._build(x, y, 0, nodes)
+        self.nodes_ = {key: np.asarray(nodes[key], dtype=dtype)
+                       for key, dtype in NODE_DTYPES.items()}
         return self
 
-    # ------------------------------------------------------------------ #
     def predict(self, x) -> np.ndarray:
-        if self._root is None:
-            raise RuntimeError("predict() called before fit()")
+        nodes = self._fitted("predict()")
         x = self._check_predict_input(x, self._n_features)
-        out = np.empty(x.shape[0])
-        for i, row in enumerate(x):
-            node = self._root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value
-        return out
-
-    # ------------------------------------------------------------------ #
-    def get_state(self) -> dict:
-        """Flatten the fitted tree into parallel preorder arrays.
-
-        ``left``/``right`` hold child indices (-1 for leaves), so the
-        structure round-trips exactly regardless of tree shape.
-        """
-        if self._root is None:
-            raise RuntimeError("get_state() called before fit()")
-        feature: list[int] = []
-        threshold: list[float] = []
-        value: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-
-        def walk(node: _Node) -> int:
-            i = len(feature)
-            feature.append(node.feature)
-            threshold.append(node.threshold)
-            value.append(node.value)
-            left.append(-1)
-            right.append(-1)
-            if not node.is_leaf:
-                left[i] = walk(node.left)
-                right[i] = walk(node.right)
-            return i
-
-        walk(self._root)
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_features": self.max_features,
-            "n_features": self._n_features,
-            "nodes": {
-                "feature": np.asarray(feature, dtype=np.int64),
-                "threshold": np.asarray(threshold, dtype=np.float64),
-                "value": np.asarray(value, dtype=np.float64),
-                "left": np.asarray(left, dtype=np.int64),
-                "right": np.asarray(right, dtype=np.int64),
-            },
-        }
-
-    def set_state(self, state: dict) -> "DecisionTreeRegressor":
-        self.max_depth = int(state["max_depth"])
-        self.min_samples_split = int(state["min_samples_split"])
-        self.min_samples_leaf = int(state["min_samples_leaf"])
-        max_features = state["max_features"]
-        self.max_features = int(max_features) \
-            if isinstance(max_features, (int, np.integer)) else max_features
-        nodes = state["nodes"]
-        feature = np.asarray(nodes["feature"], dtype=np.int64)
-        threshold = np.asarray(nodes["threshold"], dtype=np.float64)
-        value = np.asarray(nodes["value"], dtype=np.float64)
-        left = np.asarray(nodes["left"], dtype=np.int64)
-        right = np.asarray(nodes["right"], dtype=np.int64)
-
-        def build(i: int) -> _Node:
-            node = _Node(value=float(value[i]), feature=int(feature[i]),
-                         threshold=float(threshold[i]))
-            if left[i] >= 0:
-                node.left = build(int(left[i]))
-                node.right = build(int(right[i]))
-            return node
-
-        self._root = build(0)
-        self._n_features = int(state["n_features"])
-        return self
+        return leaf_values(nodes, _ROOT, x, self.max_depth)[0]
 
     def depth(self) -> int:
-        """Actual depth of the fitted tree."""
-        def walk(node: _Node | None) -> int:
-            if node is None or node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-        if self._root is None:
-            raise RuntimeError("tree not fitted")
-        return walk(self._root)
+        """Actual depth of the fitted tree: levels below the root."""
+        nodes = self._fitted("depth()")
+        left, right = nodes["left"], nodes["right"]
+        level, depth = _ROOT, 0
+        while (inner := level[left[level] != level]).size:
+            level = np.concatenate([left[inner], right[inner]])
+            depth += 1
+        return depth
 
     def num_leaves(self) -> int:
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 1
-            return walk(node.left) + walk(node.right)
-        if self._root is None:
-            raise RuntimeError("tree not fitted")
-        return walk(self._root)
+        left = self._fitted("num_leaves()")["left"]
+        return int(np.count_nonzero(left == np.arange(len(left))))

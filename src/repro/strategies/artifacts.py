@@ -43,7 +43,10 @@ __all__ = ["ArtifactError", "ArtifactNotFoundError", "StaleArtifactError",
            "ARTIFACT_FORMAT_VERSION", "pack_fitted", "unpack_fitted"]
 
 #: bump when the artifact layout changes; older artifacts refuse to load
-ARTIFACT_FORMAT_VERSION = 1
+#: (``StaleArtifactError``), so the serving layer refits and overwrites
+#: them.  v2: tree predictors store one concatenated set of node arrays
+#: plus ``tree_offset`` instead of one array set per tree.
+ARTIFACT_FORMAT_VERSION = 2
 
 #: separator inside ``.npz`` keys (same idiom as the zoo weight cache)
 _SEP = "::"

@@ -13,6 +13,7 @@ from repro.predictors import (
     RandomForestRegressor,
     get_predictor,
 )
+from repro.predictors.tree import leaf_values
 
 
 def linear_data(n=120, d=5, noise=0.05, seed=0):
@@ -169,8 +170,9 @@ class TestRandomForest:
         forest = RandomForestRegressor(n_estimators=40, max_depth=6, seed=0)
         forest.fit(x, y)
         forest_mse = ((forest.predict(x_test) - y_test) ** 2).mean()
-        tree_mses = [((t.predict(x_test) - y_test) ** 2).mean()
-                     for t in forest.trees_]
+        per_tree = leaf_values(forest.nodes_, forest.nodes_["tree_offset"],
+                               x_test, forest.max_depth)
+        tree_mses = ((per_tree - y_test) ** 2).mean(axis=1)
         assert forest_mse < np.mean(tree_mses)
 
     def test_parameter_validation(self):

@@ -302,3 +302,92 @@ class TestStoredGraph:
         (path / "meta.json").write_text(json.dumps(meta, sort_keys=True))
         with pytest.raises(ArtifactError):
             registry.load(target, lr_config, zoo)
+
+
+def rewrite_as_format_v1(path):
+    """Turn a saved tree-ensemble artifact into its format-v1 layout.
+
+    v1 stored one node-array set per tree (leaves as ``-1`` children and
+    features, tree-local child indices) under ``predictor::trees::<i>``.
+    """
+    meta = json.loads((path / "meta.json").read_text())
+    with np.load(path / "arrays.npz") as npz:
+        arrays = {key: npz[key] for key in npz.files}
+    state = _unpack_value(meta["predictor_state"], arrays)
+    nodes = state.pop("nodes")
+    bounds = list(nodes["tree_offset"]) + [len(nodes["value"])]
+    trees = []
+    for start, stop in zip(bounds, bounds[1:]):
+        part = {key: nodes[key][start:stop].copy()
+                for key in ("feature", "threshold", "value", "left", "right")}
+        leaf = part["left"] == np.arange(start, stop)
+        for key in ("feature", "left", "right"):
+            part[key][leaf] = -1
+        part["left"][~leaf] -= start
+        part["right"][~leaf] -= start
+        trees.append({"max_depth": state["max_depth"], "min_samples_split": 2,
+                      "min_samples_leaf": state["min_samples_leaf"],
+                      "max_features": state.get("colsample"),
+                      "n_features": state["n_features"], "nodes": part})
+    state["trees"] = trees
+    arrays = {key: value for key, value in arrays.items()
+              if not key.startswith("predictor::")}
+    meta["predictor_state"] = _pack_value(state, arrays, "predictor")
+    meta["format_version"] = 1
+    (path / "meta.json").write_text(json.dumps(meta, sort_keys=True))
+    np.savez_compressed(path / "arrays.npz", **arrays)
+    return len(trees)
+
+
+class TestArtifactFormatV2:
+    """v2 packs each tree ensemble into one set of node arrays."""
+
+    @pytest.fixture(scope="class")
+    def xgb_config(self):
+        return TransferGraphConfig(predictor="xgb", embedding_dim=16,
+                                   features=FeatureSet.everything())
+
+    def test_v1_artifact_is_stale(self, tiny_image_zoo, tmp_path,
+                                  xgb_config):
+        zoo = tiny_image_zoo
+        target = zoo.target_names()[0]
+        registry = ArtifactRegistry(tmp_path)
+        path = registry.save(TransferGraph(xgb_config).fit(zoo, target),
+                             xgb_config, zoo)
+        assert rewrite_as_format_v1(path) == 500
+        with pytest.raises(StaleArtifactError, match="format v1"):
+            registry.load(target, xgb_config, zoo)
+
+    def test_service_refits_v1_once_and_writes_v2(self, tiny_image_zoo,
+                                                  tmp_path, xgb_config):
+        from repro.serving import ARTIFACT_FORMAT_VERSION, SelectionService
+
+        zoo = tiny_image_zoo
+        target = zoo.target_names()[1]
+        registry = ArtifactRegistry(tmp_path)
+        first = SelectionService(zoo, xgb_config, registry=registry)
+        served = first.rank(target)
+        path = registry.path_for(target, xgb_config)
+        rewrite_as_format_v1(path)
+
+        upgraded = SelectionService(zoo, xgb_config, registry=registry)
+        assert upgraded.rank(target) == served
+        assert upgraded.stats()["fits"] == 1
+        meta = json.loads((path / "meta.json").read_text())
+        assert meta["format_version"] == ARTIFACT_FORMAT_VERSION == 2
+
+        warm = SelectionService(zoo, xgb_config, registry=registry)
+        assert warm.rank(target) == served
+        assert warm.stats()["fits"] == 0
+        assert warm.stats()["registry_hits"] == 1
+
+    def test_packed_ensemble_member_count_ignores_tree_count(self):
+        x, y = regression_data()
+        counts = set()
+        for n_estimators in (1, 7, 60):
+            for alias in ("rf", "xgb"):
+                model = get_predictor(alias, n_estimators=n_estimators)
+                arrays: dict[str, np.ndarray] = {}
+                _pack_value(model.fit(x, y).get_state(), arrays, "predictor")
+                counts.add(len(arrays))
+        assert counts == {6}
