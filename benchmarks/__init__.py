@@ -1,1 +1,1 @@
-"""Benchmark suite: one module per table/figure of the paper (DESIGN.md §4)."""
+"""Benchmark suite: one module per table/figure of the paper."""

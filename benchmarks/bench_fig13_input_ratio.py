@@ -52,7 +52,6 @@ def test_fig13_input_ratio(benchmark, image_zoo):
     # ratio 0.3 — does NOT reproduce here: with only 18 datasets our graph
     # stays connected after subsampling, whereas the paper's 73-dataset
     # graph fragments ("a large number of disconnected components").
-    # See EXPERIMENTS.md.
     lr = rows["LR,all"]
     assert max(lr.values()) - min(lr.values()) < 0.15
     tg = rows["TG:LR,N2V+,all"]

@@ -4,9 +4,10 @@ Paper: image — LogME 0.37, LR 0.26, LR{all,LogME} 0.26, TG:RF 0.64,
 TG:XGB 0.67, TG:LR 0.69;  text — LogME 0.58, LR 0.06, LR{all,LogME} 0.57,
 TG:RF 0.65, TG:XGB 0.76, TG:LR 0.77.
 
-Expected shape here: every learning-based strategy ≫ LogME ≫ random-level;
-TG variants competitive with/above the metadata baselines (our substrate's
-metadata is more informative than the paper's — see EXPERIMENTS.md).
+Expected shape here: every learning-based strategy ≫ LogME ≫ random-level.
+The paper's TG ≫ metadata-LR ordering does not reproduce: measured on
+this substrate, TG loses to the metadata LR baseline on both modalities
+(ROADMAP.md item 1 records the numbers and the open fix).
 """
 
 from benchmarks.conftest import print_header

@@ -6,7 +6,7 @@ from repro.baselines import AmazonLR, FeatureBasedStrategy
 from repro.core import FeatureSet, TransferGraph, TransferGraphConfig
 
 #: embedding dimensionality used throughout the benchmarks (the paper uses
-#: 128 on a zoo ~8x larger; 32 matches our training-set size — DESIGN.md §2)
+#: 128 on a zoo ~8x larger; 32 matches our training-set size)
 BENCH_EMBEDDING_DIM = 32
 
 

@@ -1,7 +1,7 @@
-"""pickle-boundary: strategies must survive the process fit plane.
+"""pickle-boundary: strategies must survive the remote fit boundary.
 
-``fit_executor="process"`` pickles the strategy instance into a spawn
-worker (``serving/fit_plane.py``), so every
+``fit_executor="process"`` pickles the strategy instance into a spawned
+local fleet worker (``fleet/local.py``), so every
 :class:`~repro.strategies.SelectionStrategy` subclass carries a hard
 contract, documented in ``strategies/base.py``: module-level classes
 with plain data attributes — no closures, no lambdas, no locks, no
@@ -16,10 +16,12 @@ Two checks:
   flag ``self.x = <lambda>``, ``self.x = <nested def>``,
   ``self.x = threading.Lock()`` (or any lock/semaphore sibling),
   ``self.x = open(...)``, and ``self.x = ThreadPoolExecutor(...)``;
-- **executor submissions** — in ``serving/fit_plane.py``, a
-  ``pool.submit(fn, ...)`` whose callable is a lambda or a function
+- **spawn targets** — in ``fleet/local.py``, a ``Process(target=fn)``
+  or ``pool.submit(fn, ...)`` whose callable is a lambda or a function
   defined inside the enclosing scope cannot be pickled to a spawn
-  worker; workers take module-level functions only.
+  worker; workers take module-level functions only.  The file itself
+  must exist: a rule pinned to a moved module would silently check
+  nothing, so its absence is a finding.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.analysis.core import Finding, Project, Rule, SourceFile
 __all__ = ["PickleBoundaryRule"]
 
 _STRATEGY_SCOPE = ("src/repro/strategies/*.py", "src/repro/baselines/*.py")
-_FIT_PLANE = "src/repro/serving/fit_plane.py"
+_SPAWN_MODULE = "src/repro/fleet/local.py"
 
 _LOCK_FACTORIES = {
     "Lock",
@@ -46,7 +48,7 @@ _LOCK_FACTORIES = {
 _EXECUTOR_FACTORIES = {"ThreadPoolExecutor", "ProcessPoolExecutor"}
 
 _HINT = (
-    "strategy instances cross the process fit plane by pickle: keep "
+    "strategy instances cross the remote fit boundary by pickle: keep "
     "attributes to plain data (see strategies/base.py)"
 )
 
@@ -76,6 +78,24 @@ def _unpicklable_reason(value: ast.AST, nested_defs: set[str]) -> str | None:
     if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
         if value.func.id == "open":
             return "an open file handle (handles do not pickle)"
+    return None
+
+
+def _spawned_callable(node: ast.AST) -> ast.AST | None:
+    """The callable a ``Process(target=fn)`` or ``x.submit(fn, ...)``
+    hands to another process; None for any other node."""
+    if not isinstance(node, ast.Call):
+        return None
+    if _call_name(node) == "Process":
+        for keyword in node.keywords:
+            if keyword.arg == "target":
+                return keyword.value
+    if (
+        isinstance(node.func, ast.Attribute)
+        and node.func.attr == "submit"
+        and node.args
+    ):
+        return node.args[0]
     return None
 
 
@@ -114,8 +134,7 @@ class PickleBoundaryRule(Rule):
     id: ClassVar[str] = "pickle-boundary"
     description: ClassVar[str] = (
         "no lambdas, closures, locks, or open handles stored on "
-        "SelectionStrategy subclasses or submitted to the fit-plane "
-        "executor"
+        "SelectionStrategy subclasses or handed to a spawn worker"
     )
 
     def check(self, project: Project) -> list[Finding]:
@@ -125,9 +144,22 @@ class PickleBoundaryRule(Rule):
         for key, klass in sorted(_strategy_classes(sources).items()):
             rel = key.rsplit(":", 1)[0]
             findings.extend(self._check_class(by_rel[rel], klass))
-        fit_plane = project.source(_FIT_PLANE)
-        if fit_plane is not None:
-            findings.extend(self._check_submissions(fit_plane))
+        spawner = project.source(_SPAWN_MODULE)
+        if spawner is None:
+            findings.append(
+                Finding(
+                    rule=self.id,
+                    path=_SPAWN_MODULE,
+                    line=1,
+                    message=f"{_SPAWN_MODULE} is missing; spawn targets go unchecked",
+                    hint=(
+                        "point _SPAWN_MODULE in analysis/pickle_boundary.py "
+                        "at the module that spawns the fit workers"
+                    ),
+                )
+            )
+        else:
+            findings.extend(self._check_spawn_targets(spawner))
         return findings
 
     def _check_class(self, source: SourceFile, klass: ast.ClassDef) -> list[Finding]:
@@ -168,7 +200,7 @@ class PickleBoundaryRule(Rule):
                     )
         return findings
 
-    def _check_submissions(self, source: SourceFile) -> list[Finding]:
+    def _check_spawn_targets(self, source: SourceFile) -> list[Finding]:
         findings: list[Finding] = []
         for scope in ast.walk(source.tree):
             if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -180,15 +212,9 @@ class PickleBoundaryRule(Rule):
                 and node is not scope
             }
             for node in ast.walk(scope):
-                if not isinstance(node, ast.Call):
+                fn = _spawned_callable(node)
+                if fn is None:
                     continue
-                if not (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "submit"
-                    and node.args
-                ):
-                    continue
-                fn = node.args[0]
                 reason = None
                 if isinstance(fn, ast.Lambda):
                     reason = "a lambda"
@@ -201,13 +227,13 @@ class PickleBoundaryRule(Rule):
                             path=source.rel,
                             line=node.lineno,
                             message=(
-                                f"executor submission of {reason}; spawn "
+                                f"spawn target is {reason}; spawn "
                                 f"workers can only import module-level "
                                 f"callables"
                             ),
                             hint=(
                                 "lift the task function to module level "
-                                "(like _fit_task/_warm_worker)"
+                                "(like run_fit)"
                             ),
                         )
                     )

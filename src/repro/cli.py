@@ -730,17 +730,34 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_warmup(args) -> int:
-    zoo = _load_zoo(args)
-    service = _service(zoo, args, cache_size=max(32, len(zoo.target_names())))
+def _local_fit_executor(args) -> str | None:
+    """``--fit-executor``, else ``$REPRO_FIT_EXECUTOR``, else thread.
+
+    ``socket`` needs the fleet coordinator only ``repro serve`` hosts,
+    so it prints one error line and returns None (exit 2).
+    """
     executor = args.fit_executor or os.environ.get("REPRO_FIT_EXECUTOR",
                                                    "thread")
+    if executor == "socket":
+        print(f"error: {args.command} has no fit fleet for the socket "
+              f"executor; use `repro serve --fit-executor socket`",
+              file=sys.stderr)
+        return None
+    return executor
+
+
+def _cmd_warmup(args) -> int:
+    executor = _local_fit_executor(args)
+    if executor is None:
+        return 2
+    zoo = _load_zoo(args)
+    service = _service(zoo, args, cache_size=max(32, len(zoo.target_names())))
     print(f"warming {len(zoo.target_names())} targets into "
           f"{service.registry.root} ({service.strategy.name}, "
           f"{executor} executor)")
     if executor == "process":
-        # Route through the async router so cold fits land on the
-        # process fit plane and distinct targets warm in parallel.
+        # Route through the async router so cold fits land on its
+        # local fit fleet and distinct targets warm in parallel.
         import asyncio
 
         from repro.serving import AsyncSelectionRouter
@@ -926,6 +943,9 @@ def _cmd_serve_sim(args) -> int:
         replay_concurrent,
     )
 
+    # only the concurrent replay routes cold fits through an executor
+    if args.concurrency > 1 and _local_fit_executor(args) is None:
+        return 2
     zoo = _load_zoo(args)
     service = _service(zoo, args, cache_size=args.cache_size)
     workload = generate_workload(zoo, WorkloadConfig(
@@ -959,8 +979,8 @@ def _cmd_serve_sim(args) -> int:
                 service, max_pending_fits=args.max_pending_fits,
                 shed_start=args.shed_start,
                 fit_executor=args.fit_executor)
-            router.prestart_fit_plane()
             try:
+                router.prestart_fit_plane()
                 summary = replay_concurrent(router, workload,
                                             clients=args.concurrency,
                                             partition=args.partition,

@@ -26,7 +26,7 @@ class FeatureSet:
     #: A linear prediction model cannot express the bilinear affinity
     #: ⟨emb_m, emb_d⟩ from concatenated embeddings alone; the product block
     #: makes it a learnable weighted dot product (implementation detail on
-    #: top of Fig. 5's "mi emb | dj emb" columns, see DESIGN.md).
+    #: top of Fig. 5's "mi emb | dj emb" columns).
     graph_interaction: bool = True
     #: include the raw embedding coordinate blocks themselves (the paper's
     #: "mi emb | dj emb" columns).  They let the predictor memorise

@@ -1,6 +1,6 @@
 """Stdlib link checker for the docs tree (CI's ``docs`` job).
 
-Two classes of rot it catches:
+Three classes of rot it catches:
 
 - **relative links**: every ``[text](target)`` in ``docs/*.md`` and the
   README whose target is not an absolute URL or pure anchor must
@@ -9,7 +9,12 @@ Two classes of rot it catches:
   ``repro <word>`` (or ``python -m repro <word>``) must name a real
   subcommand.  The valid set is parsed from the live ``repro --help``
   text, so a renamed subcommand breaks the docs build instead of the
-  reader.
+  reader;
+- **doc citations in code**: an upper-case markdown file name (like
+  ``ROADMAP.md``) anywhere in a ``.py`` file under ``src/``,
+  ``benchmarks/`` or ``tests/`` must exist at the repo root or next to
+  the citing file, so a comment cannot point readers at a document that
+  was never written.
 
 No third-party markdown parser: the repo's docs stick to plain
 CommonMark links and fenced blocks, which a few regexes cover.
@@ -32,6 +37,12 @@ _EXTERNAL = ("http://", "https://", "mailto:", "#")
 #: after the program name
 _CLI_LINE = re.compile(
     r"^\s*\$?\s*(?:python\s+-m\s+repro|repro)\s+(?:--?\S+\s+\S+\s+)*(\S+)")
+
+#: a bare upper-case markdown file name cited in code
+_CODE_DOC_REF = re.compile(r"(?<![\w/.-])([A-Z][A-Z0-9_]*\.md)\b")
+
+#: the code trees whose ``.py`` files are scanned for doc citations
+_CODE_DIRS = ("src", "benchmarks", "tests")
 
 
 def doc_files(root: str | Path) -> list[Path]:
@@ -100,6 +111,22 @@ def _check_file_cli(path: Path, root: Path, commands: set[str]) -> list[str]:
     return problems
 
 
+def _check_code_doc_refs(root: Path) -> list[str]:
+    problems: list[str] = []
+    for top in _CODE_DIRS:
+        for path in sorted((root / top).rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                for match in _CODE_DOC_REF.finditer(line):
+                    name = match.group(1)
+                    if not (root / name).exists() and not (path.parent / name).exists():
+                        problems.append(
+                            f"{path.relative_to(root)}:{lineno}: cites "
+                            f"{name}, which does not exist"
+                        )
+    return problems
+
+
 def check_links(root: str | Path) -> list[str]:
     """All doc problems found; empty means the docs tree is clean."""
     root = Path(root)
@@ -108,4 +135,5 @@ def check_links(root: str | Path) -> list[str]:
     for path in doc_files(root):
         problems.extend(_check_file_links(path, root))
         problems.extend(_check_file_cli(path, root, commands))
+    problems.extend(_check_code_doc_refs(root))
     return problems

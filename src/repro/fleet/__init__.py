@@ -1,16 +1,18 @@
 """The fit fleet: distributed cold fitting over the artifact boundary.
 
-PR 7 put cold fits behind the strategy pack/unpack boundary in a
-spawn-based process pool; this package lifts the *same* boundary onto a
-socket so N machines become a fit fleet (ROADMAP item 1b) — rankings
-stay instant at the edge while heavy TransferGraph fitting happens
-elsewhere, the operational shape evaluation-free selectors assume.
+Cold fits cross the strategy pack/unpack boundary over a socket, so
+rankings stay instant at the edge while heavy TransferGraph fitting
+happens in other processes or on other machines — the operational shape
+evaluation-free selectors assume.  Both remote fit executors are this
+package: ``fit_executor="socket"`` dispatches to ``repro fit-worker``
+daemons, and ``fit_executor="process"`` is the same coordinator on
+loopback with spawned local workers.
 
 - :mod:`repro.fleet.errors` — the typed :class:`FitPlaneError` family
-  every executor (thread pool, process pool, socket fleet) sheds with;
+  remote fits shed with;
 - :mod:`repro.fleet.work` — the worker-side fit task (hydrate → fit →
-  warm → pack) shared by process-pool and socket workers, which is what
-  keeps thread/process/socket artifacts byte-identical;
+  warm → pack), which is what keeps thread/process/socket artifacts
+  byte-identical;
 - :mod:`repro.fleet.wire` — the length-prefixed, versioned, byte-stable
   frame protocol (HELLO/CHALLENGE/AUTH/REGISTER/HEARTBEAT/FIT/
   FIT_RESULT/FIT_ERROR) and the mutual HMAC fleet-secret handshake;
@@ -18,10 +20,13 @@ elsewhere, the operational shape evaluation-free selectors assume.
   gateway-side registry/heartbeat/dispatch loop with least-outstanding
   worker selection and retry-once failover;
 - :mod:`repro.fleet.worker` — :class:`FitWorker`, the
-  ``repro fit-worker`` daemon.
+  ``repro fit-worker`` daemon;
+- :mod:`repro.fleet.local` — :class:`LocalFleet`, the router-owned
+  loopback coordinator plus spawned workers behind
+  ``fit_executor="process"``.
 
-Layering: ``serving`` imports ``fleet`` (the router's
-``fit_executor="socket"`` plane), never the reverse — enforced by the
+Layering: ``serving`` imports ``fleet`` (the router's remote fit
+executors), never the reverse — enforced by the
 ``import-layering`` rule in ``repro analyze``.
 """
 
@@ -33,18 +38,19 @@ from repro.fleet.errors import (
     NoWorkersError,
     WireError,
 )
-from repro.fleet.work import run_fit, warm_worker, zoo_ref_for
+from repro.fleet.local import LocalFleet
+from repro.fleet.work import run_fit, zoo_ref_for
 from repro.fleet.worker import FitWorker
 
 __all__ = [
     "FleetCoordinator",
     "FitWorker",
+    "LocalFleet",
     "FitPlaneError",
     "FitTimeoutError",
     "FitWorkerCrashError",
     "NoWorkersError",
     "WireError",
     "run_fit",
-    "warm_worker",
     "zoo_ref_for",
 ]

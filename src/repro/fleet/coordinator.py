@@ -2,13 +2,13 @@
 
 The coordinator is the gateway-side half of the fit fleet.  It runs an
 asyncio socket server on its *own* daemon thread and private event loop
-— the serving event loop never touches fleet IO — and exposes the same
-blocking ``submit_fit(strategy, zoo, target) -> (meta, arrays, spans)``
-surface as :class:`repro.serving.fit_plane.ProcessFitExecutor`, so the
-router's ``fit_executor="socket"`` path drops into the existing
-``_remote_fit`` plumbing unchanged: router fit threads block on
-``run_coroutine_threadsafe(...).result()`` while the dispatch runs on
-the coordinator loop.
+— the serving event loop never touches fleet IO — and exposes a
+blocking ``submit_fit(strategy, zoo, target) -> (meta, arrays, spans)``:
+router fit threads block on ``run_coroutine_threadsafe(...).result()``
+while the dispatch runs on the coordinator loop.  The router dispatches
+through a shared coordinator in ``fit_executor="socket"`` mode and
+through its own :class:`~repro.fleet.local.LocalFleet` (a loopback
+coordinator subclass) in ``fit_executor="process"`` mode.
 
 Worker lifecycle:
 
@@ -246,11 +246,10 @@ class FleetCoordinator:
     def submit_fit(self, strategy, zoo, target: str, *, timeout_s=None):
         """Fit ``target`` on a fleet worker; returns ``(meta, arrays, spans)``.
 
-        Blocking, like the process plane's ``submit_fit`` — the caller
-        is a router fit thread.  Raises the typed
+        Blocking — the caller is a router fit thread.  Raises the typed
         :class:`~repro.fleet.errors.FitPlaneError` family for plane
-        failures and re-raises ordinary fit exceptions with their
-        original type.
+        failures and re-raises ordinary fit exceptions as
+        :func:`_revive_error` rebuilds them.
         """
         with self._lock:
             if self._closed:
@@ -273,12 +272,13 @@ class FleetCoordinator:
         )
         return future.result()
 
-    def prestart(self, zoo=None, hold_s: float = 0.0) -> int:
-        """Fleet planes have no pool to spawn; reports live workers.
+    def prestart(self, zoo=None) -> int:
+        """Reports live workers; there is nothing to spawn.
 
-        Workers hydrate the zoo themselves on their first fit (cached
-        per zoo fingerprint thereafter); ``zoo``/``hold_s`` exist for
-        signature parity with the process plane's ``prestart``.
+        External workers hydrate the zoo themselves on their first fit
+        (cached per zoo fingerprint thereafter), so ``zoo`` is unused
+        here; :class:`~repro.fleet.local.LocalFleet` overrides this to
+        spawn its workers with the zoo hydrated.
         """
         return self.worker_count
 
@@ -512,7 +512,7 @@ class FleetCoordinator:
                 result = await asyncio.wait_for(pending.future, remaining)
             except asyncio.TimeoutError:
                 # Late results for this fit_id are discarded in _resolve;
-                # the worker finishes as an orphan, like the process pool.
+                # the worker finishes the fit as an orphan.
                 self._pending.pop(fit_id, None)
                 worker.outstanding.pop(fit_id, None)
                 self._count("timeout")
@@ -543,11 +543,11 @@ def _revive_error(frame) -> BaseException:
     strings — the coordinator never unpickles worker-supplied bytes, so
     a worker cannot make the gateway execute code.  Types importable
     from ``builtins`` or this package's own ``repro.*`` modules re-raise
-    with their original type (matching the process plane); anything else
-    — third-party or test-local exception classes, or constructors that
-    reject a lone message argument — degrades to RuntimeError carrying
-    the worker's message, and worker-side plane failures (zoo hydration,
-    unencodable payloads) stay typed :class:`FitPlaneError`.
+    with their original type; anything else — third-party or test-local
+    exception classes, or constructors that reject a lone message
+    argument — degrades to RuntimeError carrying the worker's message,
+    and worker-side plane failures (zoo hydration, unencodable payloads)
+    stay typed :class:`FitPlaneError`.
     """
     module, type_name = frame.exc_module, frame.exc_type
     if type_name and (module == "builtins" or module.startswith("repro.")):

@@ -1,20 +1,17 @@
-"""Typed fit-plane failures shared by every cold-fit executor.
+"""Typed fit-plane failures shared by every remote cold fit.
 
-These classes started life in :mod:`repro.serving.fit_plane` (the
-process fit plane, PR 7) and moved down here when the socket fleet
-arrived: the coordinator, the worker daemon, and the process pool all
-shed a router's coalesced group with *the same* typed errors, so the
-hierarchy has to live below both ``serving`` and ``fleet`` in the
-import DAG.  ``repro.serving.fit_plane`` re-exports every name, so
-existing ``from repro.serving import FitPlaneError`` imports keep
-working unchanged.
+The coordinator and the worker daemon shed a router's coalesced group
+with *the same* typed errors in process and socket modes, so the
+hierarchy lives below both ``serving`` and ``fleet`` in the import DAG.
 
-The contract, regardless of executor:
+The contract:
 
 - :class:`FitPlaneError` and subclasses mean the *plane* failed — the
-  infrastructure running the fit, not the fit itself.  Ordinary
-  exceptions raised by ``strategy.fit`` always propagate with their
-  original type.
+  infrastructure running the fit, not the fit itself.  An exception
+  raised by ``strategy.fit`` keeps its type when that type is builtin or
+  from ``repro.*``; any other type surfaces as ``RuntimeError`` carrying
+  the worker's message (see
+  :func:`repro.fleet.coordinator._revive_error`).
 - A plane error sheds the whole coalesced group for its target; the
   router stays serviceable for other targets.
 """
@@ -35,9 +32,8 @@ class FitPlaneError(RuntimeError):
 
 
 class FitWorkerCrashError(FitPlaneError):
-    """A worker died mid-fit (process pool broken, or a fleet worker
-    disconnected / missed its heartbeats with the fit outstanding and
-    no retry succeeded)."""
+    """A worker died mid-fit (disconnected, killed, or missed its
+    heartbeats with the fit outstanding) and the one retry failed too."""
 
 
 class FitTimeoutError(FitPlaneError):

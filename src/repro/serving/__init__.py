@@ -6,9 +6,7 @@ true operationally:
 
 - :mod:`repro.serving.registry` — the versioned on-disk artifact store
   (fingerprints and pack/unpack live one layer down, in
-  :mod:`repro.strategies.fingerprint` / :mod:`repro.strategies.artifacts`;
-  ``repro.serving.fingerprint`` and ``repro.serving.artifacts`` remain
-  as compatibility re-exports);
+  :mod:`repro.strategies.fingerprint` / :mod:`repro.strategies.artifacts`);
 - :mod:`repro.serving.protocol` — the typed v1 wire protocol every
   entry point (Python, CLI, HTTP) speaks;
 - :mod:`repro.serving.service` — :class:`SelectionService`, the LRU
@@ -17,10 +15,9 @@ true operationally:
   latency/hit-rate counters;
 - :mod:`repro.serving.router` — :class:`AsyncSelectionRouter`, the
   asyncio front-end with single-flight fit coalescing, parallel cold
-  fits, and a bounded cold-fit queue with adaptive backpressure;
-- :mod:`repro.serving.fit_plane` — the process fit plane
-  (``fit_executor="process"``): cold fits run in worker processes over
-  the strategy pack/unpack boundary for true multi-core fitting;
+  fits, and a bounded cold-fit queue with adaptive backpressure; its
+  remote fit executors (``"process"``, ``"socket"``) live in
+  :mod:`repro.fleet`;
 - :mod:`repro.serving.gateway` — :class:`SelectionGateway`, routing
   protocol requests across named namespaces (each a zoo behind a
   spec-keyed strategy map) with per-namespace registry shards;
@@ -79,12 +76,6 @@ from repro.serving.compare import (
     write_report,
 )
 from repro.serving.registry import ArtifactRegistry
-from repro.serving.fit_plane import (
-    FitPlaneError,
-    FitTimeoutError,
-    FitWorkerCrashError,
-    ProcessFitExecutor,
-)
 from repro.serving.router import (
     AsyncSelectionRouter,
     QueueFullError,
@@ -138,10 +129,6 @@ __all__ = [
     "served_evaluation",
     "write_report",
     "ArtifactRegistry",
-    "FitPlaneError",
-    "FitTimeoutError",
-    "FitWorkerCrashError",
-    "ProcessFitExecutor",
     "AsyncSelectionRouter",
     "QueueFullError",
     "RouterStats",

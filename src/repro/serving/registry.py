@@ -30,7 +30,7 @@ it.
 ``meta.json`` is always a complete artifact; a crash mid-save leaves at
 worst an ignorable partial directory.  Every load validates the stored
 fingerprints against the live strategy and catalog — a stale artifact
-raises :class:`~repro.serving.artifacts.StaleArtifactError` instead of
+raises :class:`~repro.strategies.artifacts.StaleArtifactError` instead of
 being silently served.
 """
 

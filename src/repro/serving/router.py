@@ -16,12 +16,14 @@ loop and fixes exactly that:
   :attr:`repro.store.ZooCatalog.lock` — so ``fit_workers`` defaults
   above one; the fit job also runs one warm-up predict so the predict
   pool never touches a pipeline's lazy normalisation state);
-- **process fit plane** — ``fit_executor="process"`` ships each cold fit
-  to a worker *process* (:mod:`repro.serving.fit_plane`) for true
-  multi-core fitting: pure-Python fit stages (walks, SGNS) hold the GIL,
-  so the thread pool alone serves cold traffic at roughly one core.
-  The fit threads then merely block on worker futures — queueing,
-  coalescing, shedding, and stats behave identically in both modes;
+- **remote fits** — ``fit_executor="process"`` ships each cold fit to a
+  worker *process* of a router-owned loopback fleet
+  (:class:`~repro.fleet.LocalFleet`) for true multi-core fitting:
+  pure-Python fit stages (walks, SGNS) hold the GIL, so the thread pool
+  alone serves cold traffic at roughly one core.  ``"socket"`` dispatches
+  through a shared :class:`~repro.fleet.FleetCoordinator` instead.  The
+  fit threads then merely block on the fleet — queueing, coalescing,
+  shedding, and stats behave identically in every mode;
 - **bounded cold-fit queue** — at most ``max_pending_fits`` cold fits
   may be admitted (in flight or waiting for a fit worker); an overflow
   either raises :class:`QueueFullError` with an adaptive
@@ -65,6 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.fleet.local import LocalFleet
 from repro.obs import graft_spans, run_in_context, set_outcome, span
 from repro.serving.protocol import (
     RankRequest,
@@ -276,24 +279,26 @@ class AsyncSelectionRouter:
         deterministic sequence here.
     fit_workers:
         Cold-fit parallelism: threads (``fit_executor="thread"``) or
-        worker processes (``"process"``).  Distinct cold targets fit in
-        parallel: derived similarity/transferability recording into the
-        shared zoo catalog is serialised by the catalog's own lock
-        (thread mode) or stays process-local and folds back through the
-        packed artifact (process mode).
+        local fleet workers, one fit each (``"process"``).  Distinct
+        cold targets fit in parallel: derived similarity/transferability
+        recording into the shared zoo catalog is serialised by the
+        catalog's own lock (thread mode) or stays process-local and
+        folds back through the packed artifact (process mode).
     predict_workers:
         Threads answering warm predicts (safe to raise: per-key locks
         already serialise same-pipeline predicts).
     fit_executor:
         ``"thread"`` fits in the router's thread pool (the default);
-        ``"process"`` ships cold fits to a spawn-based
-        ``ProcessPoolExecutor`` (see :mod:`repro.serving.fit_plane`) for
-        true CPU parallelism; ``"socket"`` dispatches them through a
-        shared :class:`~repro.fleet.FleetCoordinator` (the ``fleet``
-        parameter) to remote ``repro fit-worker`` daemons.  In every
-        remote mode the worker returns the strategy-packed artifact and
-        the parent unpacks and writes it through to the registry
-        byte-identically to the thread path.  ``None`` reads the
+        ``"process"`` ships cold fits to a router-owned
+        :class:`~repro.fleet.LocalFleet` — a loopback coordinator with
+        ``fit_workers`` spawned workers — for true CPU parallelism;
+        ``"socket"`` dispatches them through a shared
+        :class:`~repro.fleet.FleetCoordinator` (the ``fleet`` parameter)
+        to ``repro fit-worker`` daemons.  Both remote modes are the same
+        dispatch path with the same failure semantics: the worker
+        returns the strategy-packed artifact and the parent unpacks and
+        writes it through to the registry byte-identically to the thread
+        path.  ``None`` reads the
         ``REPRO_FIT_EXECUTOR`` environment variable, defaulting to
         ``"thread"``.
     fit_timeout_s:
@@ -350,19 +355,13 @@ class AsyncSelectionRouter:
         self.fit_workers = fit_workers
         self.fit_executor = fit_executor
         self._fit_timeout_s = fit_timeout_s
-        self._fit_plane = None
-        #: socket planes are shared (gateway-owned); close() must not
-        #: shut a coordinator other routers still dispatch through
-        self._owns_fit_plane = False
+        #: where remote fits dispatch: this router's own loopback fleet
+        #: (process mode) or the gateway's shared coordinator (socket)
+        self._fleet = None
         if fit_executor == "process":
-            from repro.serving.fit_plane import ProcessFitExecutor
-
-            self._fit_plane = ProcessFitExecutor(
-                workers=fit_workers, fit_timeout_s=fit_timeout_s
-            )
-            self._owns_fit_plane = True
+            self._fleet = LocalFleet(fit_workers)
         elif fit_executor == "socket":
-            self._fit_plane = fleet
+            self._fleet = fleet
         self._fit_pool = ThreadPoolExecutor(
             max_workers=fit_workers, thread_name_prefix="router-fit"
         )
@@ -499,17 +498,17 @@ class AsyncSelectionRouter:
             self._capacity.notify_all()
 
     def _remote_fit(self, strategy, zoo, target: str):
-        """Process/socket-mode fit: block a fit thread on a remote worker.
+        """Process/socket-mode fit: block a fit thread on a fleet worker.
 
-        The worker — a spawn-pool process or a fleet daemon — ships back
-        ``(meta, arrays, spans)``; the child's fit-stage spans are
+        The worker — a local fleet child or a ``repro fit-worker`` —
+        ships back ``(meta, arrays, spans)``; its fit-stage spans are
         grafted onto the live request trace here (this thread carries
         the request context via :func:`repro.obs.run_in_context`) and
         the packed payload is returned for
         :meth:`SelectionService.load_or_fit` to unpack and write
         through.
         """
-        meta, arrays, spans = self._fit_plane.submit_fit(
+        meta, arrays, spans = self._fleet.submit_fit(
             strategy, zoo, target, timeout_s=self._fit_timeout_s
         )
         graft_spans(spans)
@@ -524,12 +523,12 @@ class AsyncSelectionRouter:
         workers the only catalog writers (their derived-score recording
         is serialised by ``ZooCatalog.lock``); the predict pool then
         never mutates shared state.  Costs one extra predict per cold
-        fit — microscopic next to the fit itself.  In process mode the
-        worker already warmed the pipeline before packing (the state
+        fit — microscopic next to the fit itself.  In the remote modes
+        the worker already warmed the pipeline before packing (the state
         ships inside the artifact), so the predict is a pure read kept
         for path uniformity.
         """
-        remote = self._remote_fit if self._fit_plane is not None else None
+        remote = self._remote_fit if self._fleet is not None else None
         fitted = self.service.load_or_fit(target, remote_fit=remote)
         fitted.predict(self.service.zoo.model_ids())
         return fitted
@@ -799,30 +798,29 @@ class AsyncSelectionRouter:
     def prestart_fit_plane(self) -> int:
         """Ready the remote fit plane now (0 in thread mode).
 
-        Process workers otherwise spawn lazily on the first cold fits,
-        which would bill each of the first ``fit_workers`` requests for
-        an interpreter start plus a zoo hydration on top of its fit;
-        blocks until every worker is up with the zoo hydrated.  A
-        shared socket plane has no pool to spawn — its prestart reports
-        the fleet's live worker count instead.
+        Process-mode workers otherwise spawn lazily on the first cold
+        fit, which would bill it for an interpreter start plus a zoo
+        hydration per worker; blocks until every worker has registered
+        with the zoo hydrated.  A shared socket fleet has nothing to
+        spawn — its prestart reports the live worker count instead.
         """
-        if self._fit_plane is None:
+        if self._fleet is None:
             return 0
-        return self._fit_plane.prestart(zoo=self.service.zoo)
+        return self._fleet.prestart(zoo=self.service.zoo)
 
     def close(self) -> None:
         """Shut the executors down; idempotent.
 
-        A shared socket fit plane (the gateway's fleet coordinator) is
-        left running — other routers may still dispatch through it, and
-        its owner closes it.
+        Process mode's own fleet closes with its workers; a shared socket
+        fleet (the gateway's coordinator) is left running — other
+        routers may still dispatch through it, and its owner closes it.
         """
         if not self._closed:
             self._closed = True
             self._fit_pool.shutdown(wait=True)
             self._predict_pool.shutdown(wait=True)
-            if self._fit_plane is not None and self._owns_fit_plane:
-                self._fit_plane.close()
+            if self.fit_executor == "process":
+                self._fleet.close()
 
     async def __aenter__(self) -> "AsyncSelectionRouter":
         return self

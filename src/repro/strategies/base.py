@@ -14,9 +14,9 @@ needs every ranker behind one abstraction that the whole serving stack
   strategies can never serve each other's state;
 - ``pack(fitted, zoo)`` / ``unpack(meta, arrays, zoo)`` — the portable
   artifact form the :class:`~repro.serving.ArtifactRegistry` persists.
-  The same pair is the *process boundary*: the serving fit plane
-  (:mod:`repro.serving.fit_plane`) fits in a worker process, packs
-  there, and unpacks in the parent — so anything a fitted pipeline
+  The same pair is the *process boundary*: a remote fit
+  (:mod:`repro.fleet`) fits in a worker process, packs there, and
+  unpacks in the parent — so anything a fitted pipeline
   needs at predict time must live in the packed state (or be
   deterministically derivable from the catalog), and strategy
   instances themselves must be picklable (module-level classes with

@@ -17,8 +17,7 @@ Two fingerprints gate every artifact load:
 Like :mod:`repro.strategies.artifacts`, this lives in the strategies
 layer: fingerprints are part of every strategy's contract
 (:meth:`~repro.strategies.SelectionStrategy.fingerprint`), and the
-serving registry above consumes them.  ``repro.serving.fingerprint``
-remains as a compatibility re-export.
+serving registry above consumes them.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """The simulated model zoo: datasets, models, training pipelines, cache.
 
-See DESIGN.md §2 for the substitution argument: the paper's HuggingFace
-zoo + GPU fine-tuning is replaced by genuinely-trained small numpy models
-over a latent task universe with real transfer structure.
+The paper's HuggingFace zoo + GPU fine-tuning is replaced by
+genuinely-trained small numpy models over a latent task universe with
+real transfer structure.
 """
 
 from repro.zoo.tasks import (

@@ -92,10 +92,22 @@ def test_layering_flags_upward_import_and_protocol_import(bad_findings):
 
 def test_pickle_boundary_flags_lock_lambda_and_nested_submit(bad_findings):
     messages = _messages(bad_findings, "pickle-boundary")
-    assert len(messages) == 3
+    assert len(messages) == 4
     assert any("threading.Lock" in m for m in messages)
     assert any("lambda" in m for m in messages)
+    # Process(target=serve) and pool.submit(task) in bad/src/repro/fleet
+    assert any("nested function 'serve'" in m for m in messages)
     assert any("nested function 'task'" in m for m in messages)
+
+
+def test_pickle_boundary_reports_a_missing_spawn_module(tmp_path):
+    """A rule pinned to a moved module must fail, not check nothing."""
+    root = tmp_path / "repo"
+    shutil.copytree(GOOD, root)
+    (root / "src/repro/fleet/local.py").unlink()
+    [finding] = run_analysis(root, ["pickle-boundary"])
+    assert finding.path == "src/repro/fleet/local.py"
+    assert "missing" in finding.message
 
 
 def test_rule_filter_scopes_the_run():

@@ -126,6 +126,44 @@ class TestCommands:
         assert "coalesced" in out
         assert "peak fit queue" in out
 
+    @pytest.mark.parametrize("command", [
+        ["warmup"],
+        ["serve-sim", "--concurrency", "2"],
+    ], ids=["warmup", "serve-sim"])
+    def test_socket_executor_points_to_serve(self, command, monkeypatch,
+                                             capsys, tmp_path):
+        # Only `repro serve` hosts a fleet coordinator for socket fits.
+        monkeypatch.setenv("REPRO_FIT_EXECUTOR", "socket")
+        assert main(self.ARGS + command
+                    + ["--registry-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.strip().splitlines()
+        assert "repro serve --fit-executor socket" in line
+        assert captured.out == ""
+
+    def test_serve_sim_closes_router_when_prestart_fails(self, monkeypatch,
+                                                         tmp_path):
+        from repro.serving import AsyncSelectionRouter
+
+        closed = []
+        close = AsyncSelectionRouter.close
+
+        def failing_prestart(router):
+            raise RuntimeError("prestart failed")
+
+        def tracking_close(router):
+            closed.append(router)
+            close(router)
+
+        monkeypatch.setattr(AsyncSelectionRouter, "prestart_fit_plane",
+                            failing_prestart)
+        monkeypatch.setattr(AsyncSelectionRouter, "close", tracking_close)
+        with pytest.raises(RuntimeError, match="prestart failed"):
+            main(self.ARGS + ["serve-sim", "--queries", "2", "--predictor",
+                              "lr", "--concurrency", "2", "--registry-dir",
+                              str(tmp_path)])
+        assert len(closed) == 1
+
     def test_registry_gc(self, capsys, tmp_path):
         # A junk namespace that no live config can ever match.
         junk = tmp_path / "deadbeefdeadbeefdead" / "sometarget"

@@ -90,6 +90,17 @@ class TestLinkChecker:
         assert len(problems) == 1
         assert "frobnicate" in problems[0]
 
+    def test_dangling_doc_citation_in_code_flagged(self, tmp_path):
+        (tmp_path / "README.md").write_text("hi\n", encoding="utf-8")
+        (tmp_path / "src").mkdir()
+        missing = "NOWHERE"  # built at runtime so this file cites nothing
+        (tmp_path / "src/mod.py").write_text(
+            f'"""See README.md, then {missing}.md."""\n', encoding="utf-8")
+        problems = check_links(tmp_path)
+        assert len(problems) == 1
+        assert problems[0].startswith("src/mod.py:1:")
+        assert f"{missing}.md" in problems[0]
+
     def test_cli_outside_fences_ignored(self, tmp_path):
         (tmp_path / "README.md").write_text(
             "prose mentioning repro frobnicate is fine\n", encoding="utf-8")

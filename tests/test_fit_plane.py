@@ -1,20 +1,25 @@
-"""Process fit plane: thread/process parity, crash semantics, warmup.
+"""Process fit executor: thread/process parity, failure table, lifecycle.
 
-The parity tests are the tentpole contract: a fit executed in a worker
-process — shipped back as a packed artifact, unpacked in the parent —
-must serve byte-identical rankings and write byte-identical registry
-artifacts to the in-process thread path, for every strategy family.
+``fit_executor="process"`` is a router-owned loopback fleet
+(:class:`repro.fleet.LocalFleet`): a coordinator on ``127.0.0.1:0`` and
+``fit_workers`` spawned ``FitWorker`` children.  The parity tests are
+the contract: a fit executed in a worker process — shipped back as a
+packed artifact, unpacked in the parent — must serve byte-identical
+rankings and write byte-identical registry artifacts to the in-process
+thread path, for every strategy family.
 
-The failure tests use stub strategies (picklable, so they cross the
-spawn boundary) whose fits kill their own worker or oversleep a
-timeout, proving plane failures surface as typed errors that shed the
-coalesced group while the router itself stays serviceable.
+The failure tests walk the fleet's failure table in process mode with
+stub strategies (picklable, so they cross the spawn boundary) whose
+fits kill their own worker, oversleep a timeout, or raise, proving
+every failure is typed, sheds only its coalesced group, and leaves the
+router serviceable — and that closing the router leaves no child
+process behind.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
+import multiprocessing
 import os
 import signal
 import time
@@ -23,17 +28,21 @@ import numpy as np
 import pytest
 
 from repro.core import FeatureSet, TransferGraphConfig
+from repro.fleet import (
+    FitPlaneError,
+    FitTimeoutError,
+    FitWorker,
+    FitWorkerCrashError,
+    LocalFleet,
+    NoWorkersError,
+    zoo_ref_for,
+)
 from repro.serving import (
     ArtifactRegistry,
     AsyncSelectionRouter,
-    FitPlaneError,
-    FitTimeoutError,
-    FitWorkerCrashError,
-    ProcessFitExecutor,
     RankRequest,
     SelectionService,
 )
-from repro.serving.fit_plane import zoo_ref_for
 from repro.strategies import resolve_strategy
 
 from serving_stubs import STUB_SCORES, StubStrategy, StubZoo, stub_service
@@ -82,6 +91,24 @@ class KillWorkerStrategy(StubStrategy):
         return super().fit(zoo, target)
 
 
+class KillOnceStrategy(StubStrategy):
+    """SIGKILLs the first worker that fits; later fits succeed.
+
+    "First" is shared across processes through a marker file: the
+    doomed worker creates it before dying, so the retry sees it.
+    """
+
+    def __init__(self, marker):
+        super().__init__("kill-once", STUB_SCORES["agree"], fit_seconds=0.3)
+        self.marker = str(marker)
+
+    def fit(self, zoo, target):
+        if not os.path.exists(self.marker):
+            open(self.marker, "w").close()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().fit(zoo, target)
+
+
 class SlowStrategy(StubStrategy):
     """Fits sleep long enough to overrun any sub-second fit timeout."""
 
@@ -102,6 +129,29 @@ class FailingStrategy(StubStrategy):
 
     def fit(self, zoo, target):
         raise ValueError(f"no fit for {target!r}")
+
+
+class ForeignError(Exception):
+    """An exception type from neither builtins nor ``repro.*``."""
+
+
+class ForeignFailingStrategy(StubStrategy):
+    def __init__(self):
+        super().__init__("foreign", STUB_SCORES["agree"])
+
+    def fit(self, zoo, target):
+        raise ForeignError(f"foreign failure for {target!r}")
+
+
+def _refuse_to_unpickle():
+    raise RuntimeError("this zoo cannot be hydrated")
+
+
+class UnhydratableZoo(StubZoo):
+    """Pickles in the parent; raises when a worker unpickles it."""
+
+    def __reduce__(self):
+        return _refuse_to_unpickle, ()
 
 
 def process_router(service, **kwargs):
@@ -232,9 +282,30 @@ class TestStatsParity:
 
 
 # ---------------------------------------------------------------------- #
-# plane failures
+# the failure table, row by row, in process mode
 # ---------------------------------------------------------------------- #
 class TestWorkerCrash:
+    def test_one_kill_is_retried_on_the_survivor(self, tmp_path):
+        service = SelectionService(StubZoo(),
+                                   KillOnceStrategy(tmp_path / "killed"))
+        router = process_router(service, fit_workers=2)
+
+        async def coalesced_pair():
+            return await asyncio.gather(router.rank("t0"), router.rank("t0"))
+
+        try:
+            router.prestart_fit_plane()
+            first, second = run(coalesced_pair())
+            stats = router.stats()
+        finally:
+            router.close()
+        assert (tmp_path / "killed").exists()  # a worker really died
+        assert first == second
+        assert first[0][0] == "m0"
+        assert stats["coalesced"] == 1
+        assert stats["failed_waits"] == 0
+        assert stats["fits"] == 1
+
     def test_crash_sheds_group_and_router_recovers(self):
         service = SelectionService(StubZoo(), KillWorkerStrategy(("t0",)))
         router = process_router(service)
@@ -247,7 +318,8 @@ class TestWorkerCrash:
             # Whole coalesced group fails typed; queue slot released.
             assert all(isinstance(r, FitWorkerCrashError) for r in results)
             assert router.pending_fits == 0
-            # The pool was discarded and rebuilds: the router stays
+            # Both workers died (the retry crashed too); they are
+            # respawned before the next dispatch, so the router stays
             # serviceable for targets whose fits don't crash.
             ranking = await router.rank("t1")
             assert ranking[0][0] == "m0"
@@ -284,6 +356,30 @@ class TestWorkerCrash:
         finally:
             router.close()
 
+    def test_foreign_fit_exception_becomes_runtime_error(self):
+        # Exceptions travel as (module, type, message) strings, never
+        # pickles: only builtins and repro.* types are revived.
+        service = SelectionService(StubZoo(), ForeignFailingStrategy())
+        router = process_router(service)
+        try:
+            with pytest.raises(RuntimeError,
+                               match="ForeignError: foreign failure") as info:
+                run(router.rank("t0"))
+            assert not isinstance(info.value, ForeignError)
+        finally:
+            router.close()
+
+    def test_worker_that_cannot_start_is_no_workers(self):
+        service = SelectionService(UnhydratableZoo(),
+                                   StubStrategy("agree", STUB_SCORES["agree"]))
+        router = process_router(service, fit_workers=1)
+        try:
+            with pytest.raises(NoWorkersError, match="before registering"):
+                run(router.rank("t0"))
+            assert router.pending_fits == 0
+        finally:
+            router.close()
+
     def test_unpicklable_strategy_is_a_typed_submit_error(self):
         # install_stub_fit patches fit with a closure — exactly the
         # shape that cannot cross the process boundary.
@@ -297,7 +393,7 @@ class TestWorkerCrash:
 
 
 # ---------------------------------------------------------------------- #
-# pool warmup / lifecycle
+# warmup / lifecycle
 # ---------------------------------------------------------------------- #
 class TestPrestart:
     def test_thread_mode_prestart_is_a_noop(self):
@@ -319,11 +415,47 @@ class TestPrestart:
             router.close()
 
     def test_executor_rebuilds_after_close_refuses(self):
-        executor = ProcessFitExecutor(workers=1)
-        executor.close()
+        fleet = LocalFleet(workers=1)
+        fleet.close()
         with pytest.raises(FitPlaneError, match="closed"):
-            executor.submit_fit(StubStrategy("agree", STUB_SCORES["agree"]),
-                                StubZoo(), "t0")
+            fleet.submit_fit(StubStrategy("agree", STUB_SCORES["agree"]),
+                             StubZoo(), "t0")
+        assert multiprocessing.active_children() == []
+
+    def test_close_leaves_no_child_processes(self):
+        # A timed-out fit keeps its worker busy as an orphan; close()
+        # must still reap every child, terminating the busy one.
+        service = SelectionService(StubZoo(), SlowStrategy(sleep_s=30.0))
+        router = process_router(service, fit_workers=2, fit_timeout_s=0.3)
+        try:
+            router.prestart_fit_plane()
+            assert len(multiprocessing.active_children()) == 2
+            with pytest.raises(FitTimeoutError):
+                run(router.rank("t0"))
+        finally:
+            router.close()
+        assert multiprocessing.active_children() == []
+
+    def test_worker_without_the_secret_is_never_registered(self):
+        service = SelectionService(StubZoo(),
+                                   StubStrategy("agree", STUB_SCORES["agree"]))
+        router = process_router(service, fit_workers=1)
+        try:
+            router.prestart_fit_plane()
+            fleet = router._fleet
+            host, port = fleet.address
+            intruder = FitWorker(host, port, name="intruder")
+            with pytest.raises(FitPlaneError, match="requires a fleet secret"):
+                # bounded: an open listener would register the intruder
+                # and leave it serving until the fleet closes
+                run(asyncio.wait_for(intruder.run(), timeout=10))
+            assert intruder.worker_id is None
+            summary = fleet.fleet_summary()
+            assert summary["workers"] == 1
+            assert all(w["name"] != "intruder" for w in summary["details"])
+            assert run(router.rank("t0"))[0][0] == "m0"
+        finally:
+            router.close()
 
     def test_env_default_selects_process(self, monkeypatch):
         monkeypatch.setenv("REPRO_FIT_EXECUTOR", "process")
